@@ -20,16 +20,16 @@
 // output queue under a small mutex. That single-writer discipline is what
 // keeps the loop non-blocking and the whole structure TSan-clean.
 //
-// Two loop backends behind one connection state machine, selected with the
-// same probe-then-degrade discipline as storage/io_ring.*:
-//   - epoll (baseline): level-triggered, nonblocking fds, EPOLLOUT armed
-//     only while a connection has queued output.
-//   - io_uring (where available): one-shot ACCEPT/RECV/SEND ops re-armed on
-//     completion, the wake eventfd read through the ring. Used when the
-//     ring can be created AND a loopback RECV probe succeeds (socket ops
-//     need kernel >= 5.6; seccomp and the io_uring_disabled sysctl are also
-//     common). NBLB_IO_BACKEND=threads forces epoll without a rebuild —
-//     CI's fallback legs exercise exactly that path.
+// The loop is level-triggered epoll over nonblocking fds, with EPOLLOUT armed
+// only while a connection has queued output. Its epoll_wait timeout doubles
+// as the timer for the idle sweep and for the accept back-off below.
+//
+// Resource exhaustion: Start creates the listen socket, the wake eventfd and
+// the epoll set and registers both fds before the loop thread exists, so a
+// server that could never accept fails Start instead of starting dead. When
+// accept() fails for lack of fds (EMFILE/ENFILE) the loop stops watching the
+// listen socket, which would otherwise stay readable and spin the loop, and
+// watches it again once a connection closes or after a fixed 100 ms.
 //
 // Admission control: two in-flight caps — per-connection and global — bound
 // how many decoded frames may sit in the engine at once. A frame over
@@ -47,7 +47,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -61,7 +60,6 @@
 #include "obs/metrics.h"
 #include "shard/sharded_engine.h"
 #include "storage/disk_manager.h"
-#include "storage/io_ring.h"
 
 namespace nblb::net {
 
@@ -73,16 +71,6 @@ struct NetServerOptions {
   /// bind 0.0.0.0 explicitly to serve real traffic.
   std::string bind_address = "127.0.0.1";
   int listen_backlog = 128;
-  /// Loop backend: kAuto probes io_uring (ring creation + a loopback RECV)
-  /// and falls back to epoll; kThreads forces epoll; kUring insists on
-  /// io_uring but still degrades with a warning when the probe fails.
-  /// NBLB_IO_BACKEND=threads|uring|auto in the environment overrides this,
-  /// exactly like DiskManager.
-  IoBackend io_backend = IoBackend::kAuto;
-  /// io_uring submission-queue entries (uring backend only). Bounds the
-  /// accepted-connection count to roughly (entries - 8) / 2, since every
-  /// live connection keeps one RECV and at most one SEND in flight.
-  unsigned io_queue_depth = 256;
   /// Frames decoded but not yet answered, per connection. 0 = unlimited.
   size_t max_inflight_per_conn = 64;
   /// Frames decoded but not yet answered, across all connections. 0 derives
@@ -97,8 +85,8 @@ struct NetServerOptions {
   /// Idle-connection reaping: a connection with no socket activity (no
   /// bytes in or out), no in-flight engine batches, and no queued output
   /// for longer than this is closed by a periodic sweep — an abandoned
-  /// client cannot pin a connection slot (and, on the uring backend, its
-  /// two ring entries) forever. 0 (default) disables the sweep.
+  /// client cannot pin a connection slot forever. 0 (default) disables the
+  /// sweep.
   uint64_t idle_timeout_ms = 0;
 };
 
@@ -120,8 +108,9 @@ struct NetStatsSnapshot {
 /// \brief Owns the listening socket, the loop thread, and every connection.
 class NetServer {
  public:
-  /// \brief Binds, listens, resolves the loop backend, and starts the loop
-  /// thread. The engine must outlive the server.
+  /// \brief Binds, listens, sets up the epoll set, and starts the loop
+  /// thread. Fails (no thread started) if any fd cannot be created or
+  /// registered. The engine must outlive the server.
   static Result<std::unique_ptr<NetServer>> Start(NetServerOptions options,
                                                   ShardedEngine* engine);
 
@@ -134,8 +123,9 @@ class NetServer {
   /// \brief The bound TCP port (useful with options.port == 0).
   uint16_t port() const { return port_; }
 
-  /// \brief Loop backend actually in use after probing.
-  IoBackend backend_in_use() const { return backend_in_use_; }
+  /// \brief The loop backend: always epoll, reported as kThreads (the
+  /// non-uring value).
+  IoBackend backend_in_use() const { return IoBackend::kThreads; }
 
   NetStatsSnapshot stats() const;
   size_t open_connections() const {
@@ -168,13 +158,9 @@ class NetServer {
     std::deque<std::string> outq;  // encoded frames awaiting send
     size_t out_off = 0;            // sent prefix of outq.front()
 
-    // Loop-private per-backend state.
-    bool want_write = false;   // epoll: EPOLLOUT armed
-    bool recv_pending = false; // uring: RECV op in flight
-    bool send_pending = false; // uring: SEND op in flight
-    bool closing = false;      // uring: shutdown issued, draining ops
-    std::vector<char> rchunk;  // recv buffer (uring: op target, keep stable)
-    std::string sending;       // uring: buffer owned by the in-flight SEND
+    // Loop-private state.
+    bool want_write = false;   // EPOLLOUT armed
+    std::vector<char> rchunk;  // recv buffer
     /// Last socket activity (accept, bytes received, bytes sent). Loop
     /// thread only — the idle sweep runs on the same thread.
     std::chrono::steady_clock::time_point last_activity;
@@ -185,12 +171,20 @@ class NetServer {
 
   NetServer() = default;
 
+  /// Socket, eventfd and epoll set, with the listen and wake fds
+  /// registered; runs inside Start so any failure is Start's.
+  Status Setup();
   Status Listen();
-  void ResolveBackend();
   void LoopMain();
+  /// epoll_wait timeout: time to the next idle sweep or accept retry, or
+  /// -1 (block) when neither is due.
+  int WaitTimeoutMs() const;
 
-  // Shared connection state machine (both backends).
+  void AcceptReady();
+  /// Stops (false) or resumes (true) watching the listen socket.
+  void WatchListen(bool on);
   void HandleAccepted(int fd);
+  void ReadReady(const ConnPtr& conn);
   /// Decodes and dispatches every complete frame buffered on `conn`;
   /// returns false when the connection must be closed (protocol error).
   bool ProcessFrames(const ConnPtr& conn);
@@ -202,24 +196,10 @@ class NetServer {
   /// Completion-thread side: appends an encoded frame and wakes the loop.
   void QueueOutput(const ConnPtr& conn, std::string frame_bytes);
   void WakeLoop();
-
-  // epoll backend.
-  void EpollLoop();
-  void EpollAcceptReady();
-  void EpollReadReady(const ConnPtr& conn);
   /// Sends queued output until empty or EAGAIN; arms/disarms EPOLLOUT.
-  void EpollFlushConn(const ConnPtr& conn);
-  void EpollCloseConn(const ConnPtr& conn);
-  void EpollUpdateInterest(const ConnPtr& conn);
-
-  // io_uring backend.
-  void UringLoop();
-  void UringArmRecv(const ConnPtr& conn);
-  void UringStartSend(const ConnPtr& conn);
-  void UringCloseConn(const ConnPtr& conn);
-  /// Close finishes once no ops reference the conn's buffers.
-  void UringReapConnIfDone(const ConnPtr& conn);
-  bool UringPush(const std::function<bool()>& push);
+  void FlushConn(const ConnPtr& conn);
+  void UpdateInterest(const ConnPtr& conn);
+  void CloseConn(const ConnPtr& conn);
 
   /// Drains the wake eventfd and flushes every connection the completion
   /// threads marked as having fresh output.
@@ -227,31 +207,25 @@ class NetServer {
 
   /// Closes every connection idle longer than idle_timeout_ms (no socket
   /// activity, nothing in flight, nothing queued). Runs on the loop thread
-  /// — via the epoll_wait timeout or the uring timerfd tick.
+  /// when the epoll_wait timeout says a sweep is due.
   void SweepIdleConns();
 
   NetServerOptions options_;
   ShardedEngine* engine_ = nullptr;
-  IoBackend backend_in_use_ = IoBackend::kThreads;  // kThreads == epoll here
   size_t global_cap_ = 0;
 
   int listen_fd_ = -1;
   int wake_fd_ = -1;  // eventfd
   int epoll_fd_ = -1;
   uint16_t port_ = 0;
-  std::unique_ptr<IoRing> ring_;
-  uint64_t wake_buf_ = 0;          // uring: eventfd read target
-  struct iovec wake_iov_ {};       // uring: stable iovec for the eventfd read
-  bool accept_pending_ = false;    // uring: ACCEPT op in flight
-  bool wake_pending_ = false;      // uring: eventfd read in flight
-  /// Idle sweep (idle_timeout_ms > 0): cadence, next-due stamp (epoll), and
-  /// the periodic timerfd read through the ring (uring). Loop thread only.
+  /// Idle sweep (idle_timeout_ms > 0): cadence and next-due stamp. Loop
+  /// thread only.
   uint64_t sweep_interval_ms_ = 0;
   std::chrono::steady_clock::time_point next_sweep_{};
-  int timer_fd_ = -1;
-  uint64_t timer_buf_ = 0;
-  struct iovec timer_iov_ {};
-  bool timer_pending_ = false;
+  /// Accept back-off after EMFILE/ENFILE: the listen socket is unwatched
+  /// until a connection closes or this stamp passes. Loop thread only.
+  bool accept_paused_ = false;
+  std::chrono::steady_clock::time_point accept_resume_at_{};
 
   std::thread loop_thread_;
   std::atomic<bool> stopping_{false};

@@ -1,19 +1,24 @@
 // NetServer end-to-end tests: request round trips over loopback TCP,
 // admission-control busy shedding, protocol-error connection teardown,
-// client disconnect mid-request, and clean engine drain when clients are
-// killed under load. Runs under whichever loop backend NBLB_IO_BACKEND
-// resolves to — CI exercises both.
+// client disconnect mid-request, clean engine drain when clients are
+// killed under load, idle reaping, and fd exhaustion (forked children with
+// a capped RLIMIT_NOFILE). The engine under the server runs whichever disk
+// backend NBLB_IO_BACKEND resolves to; CI exercises both.
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -76,6 +81,42 @@ bool WaitUntil(const std::function<bool()>& pred, int timeout_ms = 30000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
+}
+
+// Child-process only (it lowers RLIMIT_NOFILE for good): takes every free fd
+// below a small cap except `leave_free`, so the next `leave_free` fds the
+// process opens succeed and the one after fails with EMFILE.
+bool FillFdsLeavingFree(size_t leave_free) {
+  struct rlimit lim;
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) return false;
+  lim.rlim_cur = std::min<rlim_t>(lim.rlim_cur, 256);
+  if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) return false;
+  std::vector<int> fillers;
+  for (int fd; (fd = ::dup(STDERR_FILENO)) >= 0;) fillers.push_back(fd);
+  if (errno != EMFILE || fillers.size() < leave_free) return false;
+  for (size_t i = 0; i < leave_free; ++i) {
+    ::close(fillers.back());
+    fillers.pop_back();
+  }
+  return true;
+}
+
+/// Kills and reaps a forked child the test did not get to reap itself, so
+/// a failed assertion cannot leave it running.
+struct ChildReaper {
+  pid_t pid;
+  ~ChildReaper() {
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+};
+
+double ProcessCpuSeconds() {
+  struct timespec ts;
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
 }
 
 TEST(NetServerTest, RoundTripAllRequestKinds) {
@@ -163,6 +204,52 @@ TEST(NetServerTest, PipelinedResponsesPairUpByRequestId) {
     EXPECT_EQ(result.results[1].row[0].AsInt(), static_cast<int64_t>(63 - b));
   }
   EXPECT_EQ(client->outstanding(), 0u);
+
+  client.reset();
+  server.reset();
+  engine.reset();
+  Cleanup(eopts);
+}
+
+// Replies larger than the socket buffers, to a client that is not reading
+// yet: the server's gathered sends end part-way through frames and resume on
+// write readiness, and every frame must still arrive whole and in order.
+TEST(NetServerTest, SlowReaderGetsEveryReplyIntact) {
+  ShardedEngineOptions eopts = EngineOptions("slowreader");
+  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(eopts));
+  constexpr int64_t kRows = 1000;
+  auto payload = [](int64_t id) {
+    std::string p = std::to_string(id);
+    return p + std::string(64 - p.size(), 'x');
+  };
+  for (int64_t id = 0; id < kRows; ++id) {
+    ASSERT_OK(engine->Insert(id, {Value::Int64(id), Value::Char(payload(id))}));
+  }
+  ASSERT_OK_AND_ASSIGN(auto server,
+                       NetServer::Start(NetServerOptions{}, engine.get()));
+  auto client = MustConnect(*server);
+  const int rcvbuf = 64 * 1024;
+  ::setsockopt(client->fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+
+  // ~5 MB of replies, past the largest send buffer TCP autotunes to (4 MB
+  // by default), queued against a receiver that sleeps first.
+  RequestBatch all;
+  for (int64_t id = 0; id < kRows; ++id) all.push_back(Request::Get(id));
+  std::vector<uint64_t> ids;
+  for (int f = 0; f < 60; ++f) {  // under max_inflight_per_conn
+    ASSERT_OK_AND_ASSIGN(uint64_t id, client->Send(all));
+    ids.push_back(id);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  for (uint64_t id : ids) {
+    ASSERT_OK_AND_ASSIGN(BatchResult r, client->Wait(id));
+    ASSERT_EQ(r.results.size(), static_cast<size_t>(kRows));
+    for (int64_t k = 0; k < kRows; ++k) {
+      ASSERT_OK(r.results[k].status);
+      ASSERT_EQ(r.results[k].row[1].AsString(), payload(k));
+    }
+  }
+  EXPECT_EQ(server->stats().responses, ids.size());
 
   client.reset();
   server.reset();
@@ -456,36 +543,6 @@ TEST(NetServerTest, MetricsDocumentMergesNetAndEngineLayers) {
   Cleanup(eopts);
 }
 
-TEST(NetServerTest, ForcedFallbackBackendHonorsEnvAndOption) {
-  ShardedEngineOptions eopts = EngineOptions("backend");
-  ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(eopts));
-  const char* env = std::getenv("NBLB_IO_BACKEND");
-  // NBLB_IO_BACKEND overrides the option (same precedence as DiskManager):
-  // with no env override or env=threads, kThreads must resolve to epoll.
-  // Under env=uring the override wins; the backend then depends on the
-  // runtime probe, so just assert serving works either way.
-  NetServerOptions sopts;
-  sopts.io_backend = IoBackend::kThreads;
-  {
-    ASSERT_OK_AND_ASSIGN(auto server, NetServer::Start(sopts, engine.get()));
-    if (env == nullptr || std::strcmp(env, "threads") == 0) {
-      EXPECT_EQ(server->backend_in_use(), IoBackend::kThreads);
-    }
-    auto client = MustConnect(*server);
-    ASSERT_OK_AND_ASSIGN(BatchResult r, client->Call({Request::Get(5)}));
-    EXPECT_TRUE(r.results[0].status.IsNotFound());
-  }
-  // env=threads forces epoll even when the option asks for auto/uring.
-  if (env != nullptr && std::strcmp(env, "threads") == 0) {
-    NetServerOptions auto_opts;
-    ASSERT_OK_AND_ASSIGN(auto server,
-                         NetServer::Start(auto_opts, engine.get()));
-    EXPECT_EQ(server->backend_in_use(), IoBackend::kThreads);
-  }
-  engine.reset();
-  Cleanup(eopts);
-}
-
 TEST(NetServerTest, IdleConnectionsAreReapedActiveOnesSurvive) {
   ShardedEngineOptions eopts = EngineOptions("idle");
   ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(eopts));
@@ -537,6 +594,99 @@ TEST(NetServerTest, IdleConnectionsAreReapedActiveOnesSurvive) {
   active_client.reset();
   server.reset();
   engine.reset();
+  Cleanup(eopts);
+}
+
+// With no fd left for the epoll set, Start must fail instead of returning a
+// server whose loop never accepts (connects would still succeed through the
+// kernel backlog, and every Call would hang).
+TEST(NetServerTest, StartFailsWhenEpollSetupFails) {
+  ShardedEngineOptions eopts = EngineOptions("nofd");
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Exit codes: 0 = Start failed, 1 = Start returned OK, 2 = setup.
+    auto engine_or = ShardedEngine::Open(eopts);
+    if (!engine_or.ok()) _exit(2);
+    auto engine = std::move(engine_or).ValueOrDie();
+    // Room for the listen socket and the wake eventfd, not the epoll fd.
+    if (!FillFdsLeavingFree(2)) _exit(2);
+    _exit(NetServer::Start(NetServerOptions{}, engine.get()).ok() ? 1 : 0);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0)
+      << "1 = Start returned OK without an epoll fd, 2 = child setup failed";
+  Cleanup(eopts);
+}
+
+// A server out of fds leaves the next connection in the listen backlog. The
+// loop must not spin on the still-readable listen socket meanwhile, and it
+// must accept the queued connection once a connection closes.
+TEST(NetServerTest, AcceptBacksOffWhileOutOfFds) {
+  ShardedEngineOptions eopts = EngineOptions("emfile");
+  int to_parent[2];
+  int to_child[2];
+  ASSERT_EQ(::pipe(to_parent), 0);
+  ASSERT_EQ(::pipe(to_child), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // Exit codes: 0 = ok, 2 = setup, 3 = queued connection never accepted.
+    auto engine_or = ShardedEngine::Open(eopts);
+    if (!engine_or.ok()) _exit(2);
+    auto engine = std::move(engine_or).ValueOrDie();
+    auto server_or = NetServer::Start(NetServerOptions{}, engine.get());
+    if (!server_or.ok()) _exit(2);
+    auto server = std::move(server_or).ValueOrDie();
+    // One fd left: the first client is accepted, the others stay queued.
+    if (!FillFdsLeavingFree(1)) _exit(2);
+    const uint16_t port = server->port();
+    if (::write(to_parent[1], &port, sizeof(port)) != sizeof(port)) _exit(2);
+    char go = 0;
+    if (::read(to_child[0], &go, 1) != 1) _exit(2);  // all clients connected
+    if (!WaitUntil([&] { return server->stats().accepts == 1; })) _exit(2);
+    const double cpu0 = ProcessCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    const double idle_cpu = ProcessCpuSeconds() - cpu0;
+    if (::write(to_parent[1], &idle_cpu, sizeof(idle_cpu)) !=
+        sizeof(idle_cpu)) {
+      _exit(2);
+    }
+    // The parent now closes the accepted client, freeing its fd.
+    _exit(WaitUntil([&] { return server->stats().accepts == 2; }, 10000) ? 0
+                                                                         : 3);
+  }
+  ChildReaper reaper{child};
+  ::close(to_parent[1]);
+  ::close(to_child[0]);
+  uint16_t port = 0;
+  ASSERT_EQ(::read(to_parent[0], &port, sizeof(port)),
+            static_cast<ssize_t>(sizeof(port)));
+  std::vector<std::unique_ptr<NetClient>> clients;
+  for (int i = 0; i < 3; ++i) {
+    NetClient::Options copts;
+    copts.port = port;
+    ASSERT_OK_AND_ASSIGN(auto client, NetClient::Connect(copts));
+    clients.push_back(std::move(client));
+  }
+  ASSERT_EQ(::write(to_child[1], "g", 1), 1);
+  double idle_cpu = -1;
+  ASSERT_EQ(::read(to_parent[0], &idle_cpu, sizeof(idle_cpu)),
+            static_cast<ssize_t>(sizeof(idle_cpu)));
+  EXPECT_LT(idle_cpu, 0.1) << "server CPU seconds over 1 s with a queued "
+                              "connection it has no fd for";
+  clients.front().reset();  // the one the server accepted
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  reaper.pid = -1;
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0)
+      << "3 = queued connection not accepted after a close, 2 = setup";
+  clients.clear();
+  ::close(to_parent[0]);
+  ::close(to_child[1]);
   Cleanup(eopts);
 }
 
