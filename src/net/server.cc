@@ -103,6 +103,7 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(NetServerOptions options,
   reg->RegisterCounter("net.busy_shed", &s->busy_shed_);
   reg->RegisterCounter("net.responses", &s->responses_);
   reg->RegisterCounter("net.idle_closed", &s->idle_closed_);
+  reg->RegisterCounter("net.accept_backoffs", &s->accept_backoffs_);
   NetServer* self = s.get();
   reg->RegisterGauge("net.open_connections", [self] {
     return static_cast<double>(self->open_connections());
@@ -440,13 +441,17 @@ void NetServer::AcceptReady() {
   for (;;) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (errno == EMFILE || errno == ENFILE) {
+      const int err = errno;
+      if (err == EAGAIN || err == EWOULDBLOCK) return;
+      if (err == EINTR || err == ECONNABORTED) continue;
+      if (err == EMFILE || err == ENFILE) {
         // The pending connection stays queued and the level-triggered
         // listen fd stays readable: watching it now would spin the loop.
         WatchListen(false);
         accept_resume_at_ = std::chrono::steady_clock::now() + kAcceptBackoff;
+        accept_backoffs_.fetch_add(1, std::memory_order_relaxed);
+        RecordFlightEvent(FlightEvent::kNetAcceptBackoff,
+                          static_cast<uint64_t>(err), open_connections());
       }
       return;
     }
@@ -586,6 +591,7 @@ NetStatsSnapshot NetServer::stats() const {
   s.busy_shed = busy_shed_.load(std::memory_order_relaxed);
   s.responses = responses_.load(std::memory_order_relaxed);
   s.idle_closed = idle_closed_.load(std::memory_order_relaxed);
+  s.accept_backoffs = accept_backoffs_.load(std::memory_order_relaxed);
   return s;
 }
 

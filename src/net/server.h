@@ -103,6 +103,9 @@ struct NetStatsSnapshot {
   uint64_t busy_shed = 0;     ///< frames shed by admission control
   uint64_t responses = 0;     ///< engine completions answered
   uint64_t idle_closed = 0;   ///< connections reaped by the idle sweep
+  /// accept() failures for want of an fd (EMFILE/ENFILE), each pausing the
+  /// listen socket for a backoff; queued clients wait in the kernel backlog.
+  uint64_t accept_backoffs = 0;
 };
 
 /// \brief Owns the listening socket, the loop thread, and every connection.
@@ -253,6 +256,7 @@ class NetServer {
   std::atomic<uint64_t> busy_shed_{0};
   std::atomic<uint64_t> responses_{0};
   std::atomic<uint64_t> idle_closed_{0};
+  std::atomic<uint64_t> accept_backoffs_{0};
   /// Decode-to-response-queued latency of every answered frame.
   LogHistogram reply_latency_us_;
   /// Requests per decoded frame.

@@ -37,6 +37,8 @@ const char* FlightEventName(FlightEvent e) {
       return "net_decode_error";
     case FlightEvent::kNetIdleClose:
       return "net_idle_close";
+    case FlightEvent::kNetAcceptBackoff:
+      return "net_accept_backoff";
     case FlightEvent::kWalAppendError:
       return "wal_append_error";
     case FlightEvent::kRecoveryStart:

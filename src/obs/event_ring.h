@@ -92,6 +92,10 @@ enum class FlightEvent : uint16_t {
   /// A durable checkpoint published a new superblock version.
   /// arg0 = superblock version, arg1 = checkpoint LSN.
   kCheckpoint = 17,
+  /// NetServer's accept() failed for want of an fd (EMFILE/ENFILE) and the
+  /// listen socket was paused for a backoff. arg0 = errno, arg1 = open
+  /// connections.
+  kNetAcceptBackoff = 18,
 };
 
 const char* FlightEventName(FlightEvent e);

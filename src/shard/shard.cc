@@ -184,7 +184,6 @@ Result<std::unique_ptr<Shard>> Shard::Open(uint32_t shard_id,
   if (shard->durable_) {
     WalOptions wo;
     wo.page_size = shard->options_.page_size;
-    wo.io_backend = shard->options_.io_backend;
     NBLB_ASSIGN_OR_RETURN(shard->wal_,
                           Wal::Open(Wal::PathFor(dbo.path), wo));
     shard->wal_->RegisterMetrics(shard->db_->metrics(), "wal.");
@@ -342,8 +341,15 @@ std::vector<Value> Shard::KeyOf(uint64_t id) const {
   return {Value::Int64(static_cast<int64_t>(id))};
 }
 
+Status Shard::WalStatus() {
+  if (!wal_ || wal_->status().ok()) return Status::OK();
+  stats_.Add(stats_.errors);
+  return wal_->status();
+}
+
 Status Shard::Insert(const Row& row) {
   stats_.Add(stats_.inserts);
+  NBLB_RETURN_NOT_OK(WalStatus());
   Status s = partitioned_ ? partitioned_->InsertHot(row, nullptr)
                           : table_->Insert(row);
   if (!s.ok()) {
@@ -415,6 +421,7 @@ Status Shard::Update(uint64_t id, const Row& row) {
     return Status::NotSupported(
         "update on a hot/cold-partitioned shard is not supported yet");
   }
+  NBLB_RETURN_NOT_OK(WalStatus());
   Status s = table_->UpdateByKey(KeyOf(id), row);
   if (!s.ok()) {
     stats_.Add(s.IsNotFound() ? stats_.not_found : stats_.errors);
@@ -437,6 +444,7 @@ Status Shard::Delete(uint64_t id) {
     return Status::NotSupported(
         "delete on a hot/cold-partitioned shard is not supported yet");
   }
+  NBLB_RETURN_NOT_OK(WalStatus());
   Status s = table_->DeleteByKey(KeyOf(id));
   if (!s.ok()) {
     stats_.Add(s.IsNotFound() ? stats_.not_found : stats_.errors);

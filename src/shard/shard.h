@@ -199,6 +199,11 @@ class Shard {
   Status ReplayWal();
   /// Snapshot of everything the next Open needs, from live structures.
   SuperblockData BuildSuperblock() const;
+  /// The WAL's sticky error (counted as a shard error), else OK. Writes
+  /// check it BEFORE touching the table: once a group commit has failed,
+  /// no later write can be logged, so applying it would move the table
+  /// away from the log.
+  Status WalStatus();
   /// Appends one logical record for an acked-on-commit write op.
   Status LogPut(uint64_t id, const Row& row);
   Status LogDelete(uint64_t id);

@@ -1025,11 +1025,13 @@ void BufferPool::FlusherPass() {
           (s0 & (kIoBit | kFailedBit)) != 0) {
         continue;
       }
-      // Skip pages someone is actively holding: a pinned writer is
-      // likely to re-dirty immediately, so flushing it now is wasted
-      // write I/O — and it cannot be chosen as a victim anyway, which
-      // is what the flusher exists to pre-clean for.
-      if ((s0 & kPinMask) != 0) continue;
+      // Pre-clean only what the sweep would evict next (PostgreSQL's
+      // bgwriter rule): unpinned frames whose usage count is 0. A pinned
+      // or recently re-hit page is likely to be re-dirtied before it is
+      // evicted, so writing it now is wasted I/O that the next pass
+      // repeats; hot pages reach disk through FlushAll (checkpoint) or
+      // at eviction, once the sweep has drained their usage count.
+      if ((s0 & (kPinMask | kUsageMask)) != 0) continue;
       // Claim the frame in ONE CAS: pin it (stable identity for the
       // pass), set the io bit (content writers pin through the locked
       // path and WaitForLoad until the snapshot memcpy is done — heap

@@ -23,9 +23,11 @@
 //     fallback): one vectored op per contiguous run, every run in flight at
 //     the device at once. StartFetchPages/FinishFetchPages expose the two
 //     halves so callers (the B+Tree descent) can overlap work with the I/O.
-//   - An optional background flusher thread (StartFlusher) writes dirty
-//     unpinned frames back on a timer, so eviction mostly finds clean
-//     victims and write-back stays off the serving path.
+//   - An optional background flusher thread (StartFlusher) writes back, on
+//     a timer, the dirty frames the sweep would evict next (unpinned, usage
+//     count 0), so eviction mostly finds clean victims and write-back stays
+//     off the serving path. Hot pages are left to FlushAll (checkpoints)
+//     and eviction: rewriting them every pass is I/O the next write undoes.
 //   - Write-back is batched and asynchronous everywhere (flusher passes,
 //     dirty eviction victims in StartFetchPages, FlushAll/Checkpoint):
 //     dirty sets drain sorted through DiskManager::SubmitWrites — one
@@ -184,9 +186,11 @@ class BufferPool {
   Status EvictAll();
 
   /// \brief Starts the background dirty-page flusher: every `interval_us`
-  /// it writes back up to `batch_pages` dirty unpinned frames (round-robin
-  /// over stripes), so eviction mostly finds clean victims and write-back
-  /// leaves the serving path. Call at most once; no-op if interval_us == 0.
+  /// it writes back up to `batch_pages` dirty, unpinned frames whose CLOCK
+  /// usage count is 0 — the next eviction candidates — round-robin over
+  /// stripes, so eviction mostly finds clean victims and write-back leaves
+  /// the serving path. Re-hit (hot) dirty pages wait for FlushAll or their
+  /// eviction. Call at most once; no-op if interval_us == 0.
   void StartFlusher(uint64_t interval_us, size_t batch_pages);
 
   /// \brief Stops the flusher thread (idempotent; called by the
@@ -395,7 +399,8 @@ class BufferPool {
 
   void FlusherLoop();
   /// One flusher cycle: pin + clean up to flush_batch_pages_ dirty frames
-  /// (round-robin over stripes) and write them back off the serving path.
+  /// with usage count 0 (round-robin over stripes) and write them back off
+  /// the serving path.
   void FlusherPass();
 
   DiskManager* disk_;

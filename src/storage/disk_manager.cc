@@ -767,82 +767,75 @@ Status DiskManager::WritePage(PageId id, const char* data) {
   return Status::OK();
 }
 
-Result<PageId> DiskManager::AllocatePage() {
-  if (fd_ < 0) return Status::IOError("disk manager not open");
-  std::lock_guard<std::mutex> lk(alloc_mu_);
-  const PageId id = num_pages();
-  const off_t off = static_cast<off_t>(id) * static_cast<off_t>(page_size_);
-  ssize_t n;
-  if (direct_io_) {
-    char* bounce = AcquireBounce();
-    std::memset(bounce, 0, page_size_);
-    n = ::pwrite(fd_, bounce, page_size_, off);
-    ReleaseBounce(bounce);
-  } else {
-    std::vector<char> zero(page_size_, 0);
-    n = ::pwrite(fd_, zero.data(), page_size_, off);
-  }
-  if (n != static_cast<ssize_t>(page_size_)) {
-    return Status::IOError("allocation write failed");
-  }
-  num_pages_.store(id + 1, std::memory_order_relaxed);
-  counters_.allocations.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
+Result<PageId> DiskManager::AllocatePage() { return AllocatePages(1); }
 
 Result<PageId> DiskManager::AllocatePages(size_t n) {
   if (fd_ < 0) return Status::IOError("disk manager not open");
   if (n == 0) return Status::InvalidArgument("AllocatePages of zero pages");
-  if (n == 1) return AllocatePage();
   std::lock_guard<std::mutex> lk(alloc_mu_);
   const PageId id = num_pages();
   const off_t off = static_cast<off_t>(id) * static_cast<off_t>(page_size_);
-  const size_t bytes = n * page_size_;
-  ssize_t got;
+  // Every new page is written from ONE zeroed page (an aligned bounce page
+  // under O_DIRECT), gathered kZeroIov pages per pwritev, so growing by a
+  // large chunk never allocates a chunk-sized buffer.
+  constexpr size_t kZeroIov = 128;
+  std::vector<char> heap_zero;
+  char* zero;
   if (direct_io_) {
-    // One zeroed bounce page written n times: keeps the arena bounded while
-    // staying aligned. Resume on partial transfers like everything else.
-    char* bounce = AcquireBounce();
-    std::memset(bounce, 0, page_size_);
-    got = static_cast<ssize_t>(bytes);
-    for (size_t k = 0; k < n; ++k) {
-      const ssize_t w =
-          ::pwrite(fd_, bounce, page_size_,
-                   off + static_cast<off_t>(k) *
-                             static_cast<off_t>(page_size_));
-      if (w != static_cast<ssize_t>(page_size_)) {
-        got = -1;
-        break;
-      }
-    }
-    ReleaseBounce(bounce);
+    zero = AcquireBounce();
+    std::memset(zero, 0, page_size_);
   } else {
-    std::vector<char> zero(bytes, 0);
-    size_t done = 0;
-    got = 0;
-    while (done < bytes) {
-      const ssize_t w = ::pwrite(fd_, zero.data() + done, bytes - done,
-                                 off + static_cast<off_t>(done));
-      if (w <= 0) {
-        got = -1;
-        break;
-      }
-      done += static_cast<size_t>(w);
-    }
-    if (got == 0) got = static_cast<ssize_t>(bytes);
+    heap_zero.assign(page_size_, 0);
+    zero = heap_zero.data();
   }
-  if (got != static_cast<ssize_t>(bytes)) {
+  struct iovec iov[kZeroIov];
+  Status st;
+  for (size_t done = 0; done < n && st.ok();) {
+    const size_t k = std::min(n - done, kZeroIov);
+    for (size_t i = 0; i < k; ++i) iov[i] = {zero, page_size_};
+    st = ResumeRunSync(iov, k, /*iov_pos=*/0,
+                       off + static_cast<off_t>(done * page_size_),
+                       k * page_size_, id + static_cast<PageId>(done),
+                       /*is_write=*/true);
+    done += k;
+  }
+  if (direct_io_) ReleaseBounce(zero);
+  if (!st.ok()) {
     // A partial extension may have grown the file by a non-page-multiple;
     // trim back so a later Open doesn't see a corrupt length.
     if (::ftruncate(fd_, off) != 0) {
       return Status::IOError("allocation write failed and truncate-back "
                              "failed: " + std::string(std::strerror(errno)));
     }
-    return Status::IOError("allocation write failed");
+    return Status::IOError("allocation write failed: " + st.ToString());
   }
   num_pages_.store(id + static_cast<PageId>(n), std::memory_order_relaxed);
   counters_.allocations.fetch_add(n, std::memory_order_relaxed);
   return id;
+}
+
+Status DiskManager::WriteGathered(PageId first_id, size_t n,
+                                  struct iovec* iov, size_t iovcnt) {
+  if (fd_ < 0) return Status::IOError("disk manager not open");
+  if (n == 0) return Status::OK();
+  if (first_id + n > num_pages()) {
+    return Status::OutOfRange("write past end of file: page " +
+                              std::to_string(first_id + n - 1));
+  }
+  size_t bytes = 0;
+  for (size_t i = 0; i < iovcnt; ++i) bytes += iov[i].iov_len;
+  if (bytes != n * page_size_) {
+    return Status::InvalidArgument("gathered write is not whole pages");
+  }
+  NBLB_RETURN_NOT_OK(ResumeRunSync(
+      iov, iovcnt, /*iov_pos=*/0,
+      static_cast<off_t>(first_id) * static_cast<off_t>(page_size_), bytes,
+      first_id, /*is_write=*/true));
+  counters_.writes.fetch_add(n, std::memory_order_relaxed);
+  for (size_t k = 0; k < n; ++k) {
+    Charge(first_id + static_cast<PageId>(k), /*write=*/true);
+  }
+  return Status::OK();
 }
 
 Status DiskManager::Sync() {

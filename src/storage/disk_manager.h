@@ -194,12 +194,23 @@ class DiskManager {
   /// machinery: PollCompletions works on write tickets too.)
   Status WaitWrites(IoTicket* ticket);
 
+  /// \brief Synchronously writes pages [first_id, first_id + n), which must
+  /// already exist, with one gathered pwritev (resumed on short transfers)
+  /// from `iovcnt` buffers whose lengths sum to n * page_size. `iov` is
+  /// consumed. Under O_DIRECT every buffer must be 4096-aligned in address
+  /// and length. The WAL's group commit writes its page images this way:
+  /// one syscall on the committing thread, no async round trip.
+  Status WriteGathered(PageId first_id, size_t n, struct iovec* iov,
+                       size_t iovcnt);
+
   /// \brief Extends the file by one zeroed page and returns its id.
   Result<PageId> AllocatePage();
 
-  /// \brief Extends the file by `n` zeroed pages with one write and returns
-  /// the id of the first new page. The WAL uses this to grow its tail in
-  /// bulk instead of paying one pwrite per page.
+  /// \brief Extends the file by `n` zeroed pages and returns the id of the
+  /// first new page. The zeroes are really written (allocated blocks, not
+  /// holes), gathered from one shared zero page, so a later overwrite of
+  /// these pages changes no file metadata. The WAL grows its log in chunks
+  /// this way.
   Result<PageId> AllocatePages(size_t n);
 
   /// \brief fsync the backing file.

@@ -1,5 +1,8 @@
 #include "storage/wal.h"
 
+#include <sys/uio.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -14,11 +17,15 @@ namespace nblb {
 namespace {
 
 // On-disk record framing, packed back-to-back across page boundaries:
-//   [0] u32 body_len
+//   [0] u32 body_len, with kMoreBit set when another record of the same
+//       commit follows (so a commit's last record has it clear)
 //   [4] u32 crc32(body)
 //   [8] body: u64 lsn, u8 op, u64 key, u32 payload_len, payload bytes
-// Pages are allocated zeroed, so body_len == 0 terminates the log.
+// Pages are allocated zeroed (the log grows in zero-filled chunks), so a
+// zero length word terminates the log. A log written before kMoreBit
+// existed reads as one-record commits.
 constexpr size_t kFrameHeaderSize = 8;
+constexpr uint32_t kMoreBit = 1u << 31;
 constexpr size_t kBodyFixedSize = 8 + 1 + 8 + 4;
 /// Anything past this is garbage, not a record (rows are page-bounded).
 constexpr uint32_t kMaxBodyLen = 1u << 20;
@@ -30,7 +37,9 @@ std::string Wal::PathFor(const std::string& db_path) {
 }
 
 Wal::Wal(std::string path, WalOptions options)
-    : path_(std::move(path)), options_(options) {}
+    : path_(std::move(path)),
+      options_(options),
+      zero_page_(options.page_size, '\0') {}
 
 Wal::~Wal() = default;
 
@@ -40,17 +49,23 @@ Result<std::unique_ptr<Wal>> Wal::Open(std::string path, WalOptions options) {
   return wal;
 }
 
-Status Wal::OpenAndScan() {
+Status Wal::OpenDisk() {
+  // The log only reads and writes synchronously. The thread backend starts
+  // its workers on the first async submission, which never comes, so the
+  // log's DiskManager costs no ring and no threads.
   AsyncIoOptions aio;
-  aio.backend = options_.io_backend;
-  aio.queue_depth = options_.io_queue_depth;
-  aio.io_threads = options_.io_threads;
+  aio.backend = IoBackend::kThreads;
   disk_.reset(new DiskManager(path_, options_.page_size,
                               /*latency=*/nullptr, /*direct_io=*/false, aio));
-  NBLB_RETURN_NOT_OK(disk_->Open());
+  return disk_->Open();
+}
+
+Status Wal::OpenAndScan() {
+  NBLB_RETURN_NOT_OK(OpenDisk());
 
   uint64_t tail_bytes = 0, tail_lsn = 0, truncated = 0;
-  NBLB_RETURN_NOT_OK(Scan(nullptr, &tail_bytes, &tail_lsn, &truncated));
+  NBLB_RETURN_NOT_OK(Scan(UINT64_MAX, nullptr, &tail_bytes, &tail_lsn,
+                          &truncated));
   durable_bytes_ = tail_bytes;
   durable_lsn_ = tail_lsn;
   next_lsn_ = tail_lsn + 1;
@@ -59,26 +74,24 @@ Status Wal::OpenAndScan() {
                                         std::memory_order_relaxed);
   }
 
-  // Load the tail page image and blank everything past the logical tail so
-  // torn-record remnants can never be resurrected by a later rewrite.
+  // Load the tail page: the next commit rewrites its durable prefix. Only
+  // that prefix is ever written back, so torn-record remnants past the
+  // logical tail cannot be resurrected.
   tail_page_.assign(options_.page_size, '\0');
-  const uint64_t tail_off = durable_bytes_ % options_.page_size;
-  if (tail_off != 0) {
+  if (durable_bytes_ % options_.page_size != 0) {
     const PageId tail_id =
         static_cast<PageId>(durable_bytes_ / options_.page_size);
     NBLB_RETURN_NOT_OK(disk_->ReadPage(tail_id, tail_page_.data()));
-    std::memset(tail_page_.data() + tail_off, 0,
-                options_.page_size - tail_off);
   }
   return Status::OK();
 }
 
-Status Wal::Scan(const std::function<Status(const Record&)>& fn,
+Status Wal::Scan(uint64_t limit,
+                 const std::function<Status(const Record&)>& fn,
                  uint64_t* tail_bytes, uint64_t* tail_lsn,
                  uint64_t* truncated_bytes) const {
   const size_t page_size = options_.page_size;
   const PageId num_pages = disk_->num_pages();
-  const uint64_t file_bytes = static_cast<uint64_t>(num_pages) * page_size;
 
   // Rolling window: pages are appended to `buf` as the parser needs more
   // bytes; the consumed prefix is dropped periodically so memory stays
@@ -87,8 +100,9 @@ Status Wal::Scan(const std::function<Status(const Record&)>& fn,
   uint64_t buf_base = 0;  // file offset of buf[0]
   PageId next_page = 0;
   uint64_t pos = 0;       // file offset of the next unparsed byte
-  uint64_t last_lsn = 0;
-  uint64_t valid_end = 0;
+  uint64_t last_lsn = 0;  // of the last intact record
+  uint64_t valid_end = 0;  // end of the last whole commit
+  uint64_t valid_lsn = 0;
 
   const auto ensure = [&](uint64_t upto) -> bool {
     while (buf_base + buf.size() < upto && next_page < num_pages) {
@@ -104,10 +118,11 @@ Status Wal::Scan(const std::function<Status(const Record&)>& fn,
   };
 
   for (;;) {
-    if (!ensure(pos + kFrameHeaderSize)) break;
+    if (pos >= limit || !ensure(pos + kFrameHeaderSize)) break;
     const char* hdr = buf.data() + (pos - buf_base);
-    const uint32_t body_len = DecodeFixed32(hdr);
-    if (body_len == 0) break;  // zero terminator (allocation padding)
+    const uint32_t word = DecodeFixed32(hdr);
+    if (word == 0) break;  // zero terminator (pre-extended space)
+    const uint32_t body_len = word & ~kMoreBit;
     if (body_len < kBodyFixedSize || body_len > kMaxBodyLen) break;
     if (!ensure(pos + kFrameHeaderSize + body_len)) break;  // torn tail
     hdr = buf.data() + (pos - buf_base);  // ensure() may have reallocated
@@ -128,19 +143,31 @@ Status Wal::Scan(const std::function<Status(const Record&)>& fn,
     }
     last_lsn = rec.lsn;
     pos += kFrameHeaderSize + body_len;
-    valid_end = pos;
+    if ((word & kMoreBit) == 0) {  // a whole commit is intact
+      valid_end = pos;
+      valid_lsn = rec.lsn;
+    }
 
-    // Drop consumed pages from the window (keep the page `pos` is on).
-    const uint64_t keep_from = (pos / page_size) * page_size;
+    // Drop consumed pages from the window (keep the page the valid tail is
+    // on, so the bytes past it can be judged below).
+    const uint64_t keep_from = (valid_end / page_size) * page_size;
     if (keep_from > buf_base) {
       buf.erase(0, static_cast<size_t>(keep_from - buf_base));
       buf_base = keep_from;
     }
   }
 
+  // Only what the scan read past the tail can be judged, and only non-zero
+  // bytes are torn data: the rest of a clean tail page, like every
+  // pre-extended page, is zero terminator.
+  uint64_t garbage = 0;
+  for (size_t i = static_cast<size_t>(valid_end - buf_base); i < buf.size();
+       ++i) {
+    garbage += buf[i] != 0;
+  }
   *tail_bytes = valid_end;
-  *tail_lsn = last_lsn;
-  *truncated_bytes = file_bytes > valid_end ? file_bytes - valid_end : 0;
+  *tail_lsn = valid_lsn;
+  *truncated_bytes = garbage;
   return Status::OK();
 }
 
@@ -153,7 +180,12 @@ Result<uint64_t> Wal::Append(Op op, uint64_t key, const Slice& payload) {
     return Status::InvalidArgument("WAL payload too large");
   }
   const uint64_t lsn = next_lsn_++;
-  if (pending_.empty()) pending_first_lsn_ = lsn;
+  if (!pending_.empty()) {
+    // The group's previous record is no longer its last.
+    char* prev = pending_.data() + last_frame_off_;
+    EncodeFixed32(prev, DecodeFixed32(prev) | kMoreBit);
+  }
+  last_frame_off_ = pending_.size();
 
   const uint32_t body_len =
       static_cast<uint32_t>(kBodyFixedSize + payload.size());
@@ -184,7 +216,7 @@ Status Wal::Commit() {
   const auto commit_start = std::chrono::steady_clock::now();
 
   const size_t page_size = options_.page_size;
-  const uint64_t tail_off = durable_bytes_ % page_size;
+  const size_t tail_off = static_cast<size_t>(durable_bytes_ % page_size);
   const PageId first_id = static_cast<PageId>(durable_bytes_ / page_size);
   const uint64_t new_bytes = durable_bytes_ + pending_.size();
   const PageId last_id = static_cast<PageId>((new_bytes - 1) / page_size);
@@ -198,40 +230,49 @@ Status Wal::Commit() {
     return st;
   };
 
-  // Extend the file to cover every page of this commit. The zero fill is
-  // immediately overwritten below, but it guarantees the scanner always
-  // sees zeroes (a terminator) past the data we actually wrote.
+  // Grow by whole zero-filled chunks when the commit passes the end of the
+  // file. Most commits land inside the last growth, overwrite allocated
+  // blocks, and leave the file size alone, so their fdatasync flushes data
+  // only. The zeroes also give the scanner its terminator.
   if (last_id >= disk_->num_pages()) {
-    auto grown = disk_->AllocatePages(last_id + 1 - disk_->num_pages());
+    const uint64_t chunk = std::max<uint64_t>(1, kGrowBytes / page_size);
+    const uint64_t want = (uint64_t{last_id} / chunk + 1) * chunk;
+    auto grown = disk_->AllocatePages(
+        static_cast<size_t>(want - disk_->num_pages()));
     if (!grown.ok()) return fail(grown.status());
   }
 
-  // Page images for the whole commit, contiguous so SubmitWrites issues one
-  // vectored write. Image 0 re-covers the tail page: its durable prefix is
-  // rewritten bit-identical, so a torn rewrite can only damage unacked
-  // bytes.
-  std::string images(npages * page_size, '\0');
-  std::memcpy(images.data(), tail_page_.data(), tail_off);
-  std::memcpy(images.data() + tail_off, pending_.data(), pending_.size());
-
-  std::vector<PageId> ids(npages);
-  std::vector<const char*> srcs(npages);
-  for (size_t k = 0; k < npages; ++k) {
-    ids[k] = first_id + static_cast<PageId>(k);
-    srcs[k] = images.data() + k * page_size;
+  // The commit's page images as ONE gathered write: the tail page's durable
+  // prefix (rewritten bit-identical, so a torn rewrite can only damage
+  // unacked bytes), the pending records, and zeroes to the last page's end.
+  struct iovec iov[3] = {
+      {tail_page_.data(), tail_off},
+      {pending_.data(), pending_.size()},
+      {zero_page_.data(), npages * page_size - tail_off - pending_.size()}};
+  Status st = disk_->WriteGathered(first_id, npages, iov, 3);
+  if (st.ok()) {
+    const auto sync_start = std::chrono::steady_clock::now();
+    st = disk_->Sync();
+    counters_.sync_micros.fetch_add(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - sync_start)
+            .count(),
+        std::memory_order_relaxed);
   }
-  DiskManager::IoTicket ticket;
-  Status st = disk_->SubmitWrites(ids.data(), srcs.data(), npages, &ticket);
-  if (st.ok()) st = disk_->WaitWrites(&ticket);
-  if (st.ok()) st = disk_->Sync();
   if (!st.ok()) return fail(st);
 
+  // Keep the new tail page's durable prefix for the next commit.
+  const size_t new_off = static_cast<size_t>(new_bytes % page_size);
+  if (npages == 1) {
+    std::memcpy(tail_page_.data() + tail_off, pending_.data(),
+                pending_.size());
+  } else if (new_off != 0) {
+    std::memcpy(tail_page_.data(),
+                pending_.data() + pending_.size() - new_off, new_off);
+  }
   durable_bytes_ = new_bytes;
   durable_lsn_ = next_lsn_ - 1;
-  std::memcpy(tail_page_.data(), images.data() + (npages - 1) * page_size,
-              page_size);
   pending_.clear();
-  pending_first_lsn_ = 0;
   counters_.commits.fetch_add(1, std::memory_order_relaxed);
   counters_.commit_pages.fetch_add(npages, std::memory_order_relaxed);
   counters_.commit_micros.fetch_add(
@@ -244,8 +285,11 @@ Status Wal::Commit() {
 
 Status Wal::Replay(uint64_t from_lsn,
                    const std::function<Status(const Record&)>& fn) const {
+  // Stopping at the durable tail (a commit boundary) keeps the records of
+  // a torn commit from ever reaching fn.
   uint64_t tail_bytes = 0, tail_lsn = 0, truncated = 0;
   return Scan(
+      durable_bytes_,
       [&](const Record& rec) -> Status {
         if (rec.lsn <= from_lsn) return Status::OK();
         counters_.replayed_records.fetch_add(1, std::memory_order_relaxed);
@@ -259,23 +303,15 @@ Status Wal::Reset() {
   disk_.reset();
   std::remove(path_.c_str());
   pending_.clear();
-  pending_first_lsn_ = 0;
   durable_bytes_ = 0;
   durable_lsn_ = next_lsn_ - 1;
   sticky_error_ = Status::OK();
 
-  AsyncIoOptions aio;
-  aio.backend = options_.io_backend;
-  aio.queue_depth = options_.io_queue_depth;
-  aio.io_threads = options_.io_threads;
-  disk_.reset(new DiskManager(path_, options_.page_size,
-                              /*latency=*/nullptr, /*direct_io=*/false, aio));
-  Status st = disk_->Open();
+  Status st = OpenDisk();
   if (!st.ok()) {
     sticky_error_ = st;
     return st;
   }
-  tail_page_.assign(options_.page_size, '\0');
   counters_.resets.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -288,6 +324,7 @@ void Wal::RegisterMetrics(MetricsRegistry* registry,
                             &counters_.bytes_appended);
   registry->RegisterCounter(prefix + "commit_pages", &counters_.commit_pages);
   registry->RegisterCounter(prefix + "commit_micros", &counters_.commit_micros);
+  registry->RegisterCounter(prefix + "sync_micros", &counters_.sync_micros);
   registry->RegisterCounter(prefix + "replayed_records",
                             &counters_.replayed_records);
   registry->RegisterCounter(prefix + "truncated_bytes",

@@ -1,27 +1,39 @@
 // Wal: per-shard write-ahead log with CRC-framed records, LSN sequencing,
-// and group commit over the async-write path.
+// and group commit.
 //
 // Records are logical (key-level PUT/DELETE), appended to an in-memory
 // pending buffer by the shard worker as it serves its service group, and
-// made durable in one Commit() per group: the pending bytes are laid out
-// into page images, put in flight through DiskManager::SubmitWrites (one
-// vectored write for the whole contiguous tail run, io_uring or the worker
-// pool — the same machinery the flusher rides), and fsynced once. Writes
-// ack to clients only after their group's Commit() returns.
+// made durable in one Commit() per group: the commit's contiguous page
+// images go out in ONE synchronous gathered write on the owning worker
+// (DiskManager::WriteGathered), followed by ONE fdatasync. Writes ack to
+// clients only after their group's Commit() returns.
+//
+// Pre-extended log space: the file grows in fixed chunks of zeroed pages
+// (kGrowBytes, written from one shared zero page), so an ordinary commit
+// overwrites blocks that are already allocated and written, and its
+// fdatasync is a data-only flush with no file-size journal commit. Only the
+// commit that crosses a chunk boundary pays the growth. Space is never
+// recycled across Reset(): Reset (and so a checkpoint or clean close) leaves
+// an empty file, and the first commit after it grows the log again.
 //
 // Torn-tail safety: the first page image of every commit starts from the
 // in-memory copy of the current tail page, so the already-durable prefix
 // bytes are rewritten bit-identical — a torn or short rewrite can corrupt
-// only bytes past the durable watermark. The scanner (Open/Replay) walks
-// records from the start and stops at the first zero length, implausible
-// length, CRC mismatch, or non-monotonic LSN, logically truncating the tail
-// there.
+// only bytes past the durable watermark; the last image is zero-padded to
+// its page end. Every record but a commit's last carries a "more follows"
+// bit, so commits are atomic in the log. The scanner (Open/Replay) walks
+// records from the start and stops at the first zero length (the
+// pre-extended zeroes end every log), implausible length, CRC mismatch, or
+// non-monotonic LSN; the valid tail is the end of the last whole commit
+// before that point, so a torn commit is dropped entirely, even records of
+// it that landed intact. Pages past the stop are never read.
 //
 // Failure model: any append/commit I/O error is STICKY. A WAL that failed
 // to make a group durable cannot accept later groups (their ordering
 // guarantee would be built on a hole), so every subsequent Append/Commit
-// returns the original error; recovery is a reopen, which re-scans the
-// durable prefix.
+// returns the original error (status() exposes it, so callers can refuse a
+// write before applying it anywhere); recovery is a reopen, which re-scans
+// the durable prefix.
 
 #pragma once
 
@@ -43,11 +55,6 @@ class MetricsRegistry;
 /// \brief Tuning for a shard WAL.
 struct WalOptions {
   size_t page_size = 8192;
-  /// Async engine for the commit writes (the WAL has its own DiskManager
-  /// over the log file; NBLB_IO_BACKEND overrides as usual).
-  IoBackend io_backend = IoBackend::kAuto;
-  size_t io_queue_depth = 16;
-  size_t io_threads = 2;
 };
 
 /// \brief A write-ahead log over one file. Single-writer (the owning shard
@@ -83,8 +90,10 @@ class Wal {
   /// until Commit(). Fails with the sticky error after a commit failure.
   Result<uint64_t> Append(Op op, uint64_t key, const Slice& payload);
 
-  /// \brief Group commit: makes every pending record durable (vectored
-  /// write of the tail pages + one fsync). No-op when nothing is pending.
+  /// \brief Group commit: makes every pending record durable (one gathered
+  /// write of the tail pages + one fdatasync, after growing the file by
+  /// whole chunks when the records pass its end). No-op when nothing is
+  /// pending.
   Status Commit();
 
   /// \brief Re-delivers every durable record with lsn > from_lsn, in LSN
@@ -98,6 +107,8 @@ class Wal {
   /// first. Clears a sticky error only if the recreate succeeds.
   Status Reset();
 
+  /// \brief OK, or the sticky error of a failed commit.
+  const Status& status() const { return sticky_error_; }
   bool HasPending() const { return !pending_.empty(); }
   uint64_t next_lsn() const { return next_lsn_; }
   /// \brief LSN of the last durable record (0 when the log is empty).
@@ -113,13 +124,21 @@ class Wal {
  private:
   Wal(std::string path, WalOptions options);
 
+  /// Log growth step: whole chunks of this many bytes (at least one page).
+  static constexpr uint64_t kGrowBytes = 1u << 20;
+
+  /// (Re)creates the backing DiskManager over path_ and opens it.
+  Status OpenDisk();
   /// Opens the backing DiskManager and scans for the durable tail.
   Status OpenAndScan();
 
-  /// Streaming scan of the durable prefix: calls fn for each intact record
-  /// and returns the byte offset and last LSN of the valid tail. A null fn
-  /// just finds the tail.
-  Status Scan(const std::function<Status(const Record&)>& fn,
+  /// Streaming scan of the log up to byte `limit`: calls fn for each intact
+  /// record and returns the byte offset and LSN of the valid tail (the end
+  /// of the last whole commit), plus the non-zero bytes it read past that
+  /// tail (torn or corrupt data; the zeroes of pre-extended space do not
+  /// count). fn sees records of an unfinished commit unless `limit` is a
+  /// commit boundary. A null fn just finds the tail.
+  Status Scan(uint64_t limit, const std::function<Status(const Record&)>& fn,
               uint64_t* tail_bytes, uint64_t* tail_lsn,
               uint64_t* truncated_bytes) const;
 
@@ -130,11 +149,16 @@ class Wal {
   uint64_t next_lsn_ = 1;
   uint64_t durable_lsn_ = 0;
   uint64_t durable_bytes_ = 0;
-  uint64_t pending_first_lsn_ = 0;
   std::string pending_;  ///< framed records awaiting Commit
-  /// In-memory image of the current (partially filled) tail page; its
-  /// durable prefix is rewritten verbatim by the next commit.
+  /// Offset in pending_ of its last frame, whose kMoreBit the next Append
+  /// sets.
+  size_t last_frame_off_ = 0;
+  /// In-memory copy of the current (partially filled) tail page; its first
+  /// durable_bytes_ % page_size bytes are rewritten verbatim by the next
+  /// commit (the rest is never written from here).
   std::string tail_page_;
+  /// One zeroed page: the padding source for a commit's last page image.
+  std::string zero_page_;
   Status sticky_error_;
 
   struct Counters {
@@ -143,10 +167,13 @@ class Wal {
     std::atomic<uint64_t> bytes_appended{0};
     std::atomic<uint64_t> commit_pages{0};
     /// Wall-clock microseconds the owning worker spent inside Commit()
-    /// (page build + write + fsync). commit_micros / commits is the mean
+    /// (growth + write + fdatasync). commit_micros / commits is the mean
     /// group-commit stall; against elapsed time it bounds the serve-path
     /// durability overhead.
     std::atomic<uint64_t> commit_micros{0};
+    /// The fdatasync share of commit_micros; the difference is the growth
+    /// and the gathered write.
+    std::atomic<uint64_t> sync_micros{0};
     std::atomic<uint64_t> replayed_records{0};
     std::atomic<uint64_t> truncated_bytes{0};
     std::atomic<uint64_t> append_failures{0};

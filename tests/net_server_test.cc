@@ -633,7 +633,8 @@ TEST(NetServerTest, AcceptBacksOffWhileOutOfFds) {
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    // Exit codes: 0 = ok, 2 = setup, 3 = queued connection never accepted.
+    // Exit codes: 0 = ok, 2 = setup, 3 = queued connection never accepted,
+    // 4 = the backoff left no counter or flight event.
     auto engine_or = ShardedEngine::Open(eopts);
     if (!engine_or.ok()) _exit(2);
     auto engine = std::move(engine_or).ValueOrDie();
@@ -647,6 +648,24 @@ TEST(NetServerTest, AcceptBacksOffWhileOutOfFds) {
     char go = 0;
     if (::read(to_child[0], &go, 1) != 1) _exit(2);  // all clients connected
     if (!WaitUntil([&] { return server->stats().accepts == 1; })) _exit(2);
+    // The fd exhaustion is visible: a counter in the merged metrics and a
+    // flight-recorder event, not just net.accepts standing still.
+    if (!WaitUntil([&] { return server->stats().accept_backoffs >= 1; })) {
+      _exit(4);
+    }
+    if (server->MetricsSnapshotNow().counters.at("net.accept_backoffs") < 1) {
+      _exit(4);
+    }
+    bool found_backoff_event = false;
+    for (const auto& ring : FlightRecorder::Instance().SnapshotAll()) {
+      for (const auto& rec : ring) {
+        if (rec.code == FlightEvent::kNetAcceptBackoff &&
+            (rec.arg0 == EMFILE || rec.arg0 == ENFILE)) {
+          found_backoff_event = true;
+        }
+      }
+    }
+    if (!found_backoff_event) _exit(4);
     const double cpu0 = ProcessCpuSeconds();
     std::this_thread::sleep_for(std::chrono::seconds(1));
     const double idle_cpu = ProcessCpuSeconds() - cpu0;
@@ -683,7 +702,8 @@ TEST(NetServerTest, AcceptBacksOffWhileOutOfFds) {
   reaper.pid = -1;
   ASSERT_TRUE(WIFEXITED(wstatus));
   EXPECT_EQ(WEXITSTATUS(wstatus), 0)
-      << "3 = queued connection not accepted after a close, 2 = setup";
+      << "3 = queued connection not accepted after a close, 2 = setup, "
+         "4 = no accept_backoffs count or kNetAcceptBackoff event";
   clients.clear();
   ::close(to_parent[0]);
   ::close(to_child[1]);

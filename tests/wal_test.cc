@@ -1,7 +1,8 @@
 // Durability unit tests: superblock double-buffering (torn-slot recovery),
 // WAL framing round trips, torn-tail truncation, the sticky failure model
-// under RLIMIT_FSIZE fault injection, log reset, and the engine-level ack
-// contract (a failed group commit fails the group's write tickets).
+// under RLIMIT_FSIZE fault injection, log reset, chunked pre-extension of
+// the log, and the engine-level ack contract (a failed group commit fails
+// the group's write tickets, and later writes leave the table alone).
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "shard/sharded_engine.h"
 #include "storage/superblock.h"
 #include "storage/wal.h"
@@ -321,8 +323,10 @@ TEST(WalFaultTest, CommitFailureIsStickyAndTailStaysConsistent) {
     acked = Drain(*wal);
     ASSERT_EQ(acked.size(), 4u);
 
-    // Cap the file at its current length: the next commit needs at least
-    // one more page and must fail — and the failure must be sticky.
+    // Cap writes at the end of the used first page: the next commit needs
+    // at least one more page and must fail (the pre-extended pages past
+    // the cap exist, but the limit bounds every write offset) — and the
+    // failure must be sticky.
     const std::string big(3000, 'x');
     FileSizeLimit limit(4096);
     for (uint64_t k = 100; k < 104; ++k) {
@@ -356,6 +360,103 @@ TEST(WalFaultTest, CommitFailureIsStickyAndTailStaysConsistent) {
   ASSERT_OK(wal->Append(Wal::Op::kPut, 300, Slice("after")).status());
   ASSERT_OK(wal->Commit());
   EXPECT_EQ(Drain(*wal).size(), acked.size() + 1);
+  std::remove(wal_path.c_str());
+}
+
+uint64_t FileBytes(const std::string& path) {
+  struct stat st;
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return static_cast<uint64_t>(st.st_size);
+}
+
+TEST(WalFaultTest, PreExtendedLogHoldsExactlyTheAcknowledgedRecords) {
+  TempFile file("wal_chunks");
+  const std::string wal_path = Wal::PathFor(file.path());
+  constexpr uint64_t kChunk = 1u << 20;  // the log's growth step
+  const std::string payload(3000, 'c');
+  std::vector<ReplayedRecord> acked;
+  {
+    ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+    MetricsRegistry reg;
+    wal->RegisterMetrics(&reg, "wal.");
+    // The first commit grows the file by one whole zeroed chunk.
+    ASSERT_OK(wal->Append(Wal::Op::kPut, 0, Slice(payload)).status());
+    ASSERT_OK(wal->Commit());
+    EXPECT_EQ(FileBytes(wal_path), kChunk);
+    // Commits that cross the chunk boundary grow it by exactly one more.
+    uint64_t key = 1;
+    while (wal->durable_bytes() < kChunk + 4096) {
+      for (int i = 0; i < 16; ++i) {
+        ASSERT_OK(wal->Append(Wal::Op::kPut, key++, Slice(payload)).status());
+      }
+      ASSERT_OK(wal->Commit());
+      EXPECT_EQ(FileBytes(wal_path),
+                (wal->durable_bytes() + kChunk - 1) / kChunk * kChunk);
+    }
+    const MetricsSnapshot snap = reg.Snapshot();
+    EXPECT_GT(snap.counters.at("wal.commits"), 1u);
+    // The fdatasync share is counted apart from, and within, the commit.
+    EXPECT_LE(snap.counters.at("wal.sync_micros"),
+              snap.counters.at("wal.commit_micros"));
+    acked = Drain(*wal);
+    ASSERT_EQ(acked.size(), key);
+
+    // A torn commit inside the pre-extended region: writes are capped at
+    // the end of the used tail page, so the group's first bytes land and
+    // the rest never do.
+    const uint64_t cap = (wal->durable_bytes() + 4095) / 4096 * 4096;
+    FileSizeLimit limit(static_cast<size_t>(cap));
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_OK(wal->Append(Wal::Op::kPut, 9000 + i, Slice(payload)).status());
+    }
+    ASSERT_FALSE(wal->Commit().ok());
+    limit.Release();
+  }
+  // The file keeps its pre-extended zeroes (no Reset happened), and the
+  // reopened log replays exactly the acknowledged records.
+  EXPECT_EQ(FileBytes(wal_path), 2 * kChunk);
+  {
+    ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+    MetricsRegistry reg;
+    wal->RegisterMetrics(&reg, "wal.");
+    auto records = Drain(*wal);
+    ASSERT_EQ(records.size(), acked.size());
+    for (size_t i = 0; i < acked.size(); ++i) {
+      EXPECT_EQ(records[i].lsn, acked[i].lsn);
+      EXPECT_EQ(records[i].key, acked[i].key);
+      EXPECT_EQ(records[i].payload, acked[i].payload);
+    }
+    // Only the torn group's bytes count as truncated; at most what was
+    // written of it (the rest of the capped page).
+    const uint64_t torn = reg.Snapshot().counters.at("wal.truncated_bytes");
+    EXPECT_GT(torn, 0u);
+    EXPECT_LE(torn, 4096 - wal->durable_bytes() % 4096);
+
+    // The log keeps working over the torn bytes.
+    ASSERT_OK(wal->Append(Wal::Op::kPut, 77, Slice("after")).status());
+    ASSERT_OK(wal->Commit());
+    acked.push_back({wal->durable_lsn(), Wal::Op::kPut, 77, "after"});
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(wal_path, SmallWal()));
+    MetricsRegistry reg;
+    wal->RegisterMetrics(&reg, "wal.");
+    auto records = Drain(*wal);
+    ASSERT_EQ(records.size(), acked.size());
+    EXPECT_EQ(records.back().key, 77u);
+    EXPECT_EQ(records.back().payload, "after");
+    // A clean tail followed by pre-extended zeroes is not torn data.
+    EXPECT_EQ(reg.Snapshot().counters.at("wal.truncated_bytes"), 0u);
+
+    // Reset never recycles the space: it leaves an empty file, and the
+    // next commit grows it lazily by one chunk.
+    ASSERT_OK(wal->Reset());
+    EXPECT_EQ(FileBytes(wal_path), 0u);
+    ASSERT_OK(wal->Append(Wal::Op::kPut, 78, Slice("x")).status());
+    ASSERT_OK(wal->Commit());
+    EXPECT_EQ(FileBytes(wal_path), kChunk);
+    ASSERT_EQ(Drain(*wal).size(), 1u);
+  }
   std::remove(wal_path.c_str());
 }
 
@@ -394,15 +495,15 @@ TEST(WalFaultTest, FailedGroupCommitFailsTheGroupsWriteTickets) {
     }
     ASSERT_TRUE(engine->Execute(warm).all_ok());
 
-    // Cap the WAL file at its current size; the next group is big enough
-    // that its commit must extend the log (rows are ~80 framed bytes, so
-    // 256 of them overflow any single page), so every write in the group
-    // must come back failed — the op ran in memory, but the ack barrier is
-    // the log. Rewrites within the cap still work, which is exactly the
-    // torn-tail shape recovery has to handle.
-    struct stat st;
-    ASSERT_EQ(::stat(Wal::PathFor(shard_path).c_str(), &st), 0);
-    FileSizeLimit limit(static_cast<size_t>(st.st_size));
+    // Cap WAL writes at the used length of the log, rounded up to a page
+    // (the file itself is longer: the log grows in pre-extended chunks).
+    // The next group is big enough that its commit must write past the cap
+    // (rows are ~80 framed bytes, so 256 of them overflow any single page),
+    // so every write in the group must come back failed — the op ran in
+    // memory, but the ack barrier is the log. Rewrites within the cap still
+    // work, which is exactly the torn-tail shape recovery has to handle.
+    const uint64_t used = engine->shard(0)->wal()->durable_bytes();
+    FileSizeLimit limit(static_cast<size_t>((used + 4095) / 4096 * 4096));
     RequestBatch doomed;
     for (uint64_t id = 1000; id < 1256; ++id) {
       doomed.push_back(Request::Insert(id, MakeRow(id)));
@@ -419,6 +520,16 @@ TEST(WalFaultTest, FailedGroupCommitFailsTheGroupsWriteTickets) {
     EXPECT_EQ(failed, doomed.size());
     // Reads are unaffected by the poisoned WAL.
     ASSERT_OK(engine->Get(0).status());
+    // A later write is refused by the sticky WAL error BEFORE it touches
+    // the table: the acknowledged row stays what readers see.
+    Row changed = MakeRow(0);
+    changed[1] = Value::Varchar("changed");
+    const BatchResult late = engine->Execute({Request::Update(0, changed)});
+    ASSERT_EQ(late.results.size(), 1u);
+    EXPECT_TRUE(late.results[0].status.IsIOError())
+        << late.results[0].status.ToString();
+    ASSERT_OK_AND_ASSIGN(Row still, engine->Get(0));
+    EXPECT_EQ(still[1].AsString(), "payload-0");
     // The engine tears down with the WAL still poisoned: the clean-close
     // checkpoint will fail and print a note, which is the crash-equivalent
     // path — recovery below must still see exactly the acked writes.
@@ -454,6 +565,41 @@ TEST(WalFaultTest, FailedGroupCommitFailsTheGroupsWriteTickets) {
   std::remove(shard_path.c_str());
   std::remove(Superblock::PathFor(shard_path).c_str());
   std::remove(Wal::PathFor(shard_path).c_str());
+}
+
+TEST(WalTest, CleanCloseLeavesAnEmptyLog) {
+  ShardedEngineOptions opts;
+  opts.num_shards = 1;
+  opts.num_workers = 1;
+  opts.path_prefix = ::testing::TempDir() + "nblb_walclose_" +
+                     std::to_string(::getpid());
+  opts.page_size = 4096;
+  opts.wal_enabled = true;
+  opts.schema = SmallSchema();
+  opts.table_options.key_columns = {0};
+  const std::string shard_path = opts.path_prefix + ".shard0.db";
+  const std::string wal_path = Wal::PathFor(shard_path);
+  {
+    ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
+    RequestBatch batch;
+    for (uint64_t id = 0; id < 64; ++id) {
+      batch.push_back(Request::Insert(id, MakeRow(id)));
+    }
+    ASSERT_TRUE(engine->Execute(batch).all_ok());
+    EXPECT_GE(FileBytes(wal_path), 1u << 20) << "commits grow whole chunks";
+  }
+  // The clean-close checkpoint reset the log: no preallocated space is
+  // left behind to count as stored bytes.
+  EXPECT_EQ(FileBytes(wal_path), 0u);
+  opts.truncate_on_open = false;
+  {
+    ASSERT_OK_AND_ASSIGN(auto engine, ShardedEngine::Open(opts));
+    ASSERT_OK_AND_ASSIGN(Row row, engine->Get(63));
+    EXPECT_EQ(row[1].AsString(), "payload-63");
+  }
+  std::remove(shard_path.c_str());
+  std::remove(Superblock::PathFor(shard_path).c_str());
+  std::remove(wal_path.c_str());
 }
 
 }  // namespace
